@@ -6,22 +6,23 @@ late thresholds risk more rollback.  The bench verifies the monotone
 cost relationship and that every threshold still completes correctly.
 """
 
-from repro.experiments import render_vwarn_ablation, run_vwarn_ablation
+from repro.study import run_study
 
 from benchmarks.conftest import run_once
 
 
 def test_ablation_vwarn(benchmark):
-    rows = run_once(benchmark, run_vwarn_ablation)
+    run = run_once(benchmark, lambda: run_study("ablation-vwarn"))
     print()
-    print(render_vwarn_ablation(rows))
+    print(run.render())
+    rows = {r["v_warn"]: r for r in run.table}
     thresholds = sorted(rows)
     for v in thresholds:
-        assert rows[v].completed
+        assert rows[v]["completed"]
     # Checkpoint energy must rise with eagerness of the trigger.
-    energies = [rows[v].checkpoint_energy_j for v in thresholds]
+    energies = [rows[v]["checkpoint_uj"] for v in thresholds]
     assert energies == sorted(energies)
     for v in thresholds:
         benchmark.extra_info[f"vwarn_{v}_ckpt_uj"] = round(
-            rows[v].checkpoint_energy_j * 1e6, 2
+            rows[v]["checkpoint_uj"], 2
         )

@@ -12,3 +12,9 @@ import pytest
 def run_once(benchmark, fn):
     """Run a heavy experiment exactly once under the benchmark fixture."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def fig7_cells(table, task, regime):
+    """``{runtime: row}`` for one task and power regime of a fig7 table."""
+    return {r["runtime"]: r for r in table
+            if r["task"] == task and r["regime"] == regime}

@@ -1,40 +1,19 @@
 #!/usr/bin/env python3
-"""Regenerate every paper artifact and dump the tables to stdout.
+"""Run every registered study and print its table.
 
-Used to produce the numbers recorded in EXPERIMENTS.md:
+This is the one "run everything" entry point: a loop over the study
+registry, each study run exactly as ``repro run <study>`` runs it::
 
-    python scripts/record_experiments.py [--fast]
+    PYTHONPATH=src python scripts/record_experiments.py [--fast]
+
+Studies with a full training profile (Table II) train it unless
+``--fast`` is given; every other study runs on its default profile.
 """
 
 import argparse
 import time
 
-from repro.experiments import (
-    FAST,
-    FULL,
-    TASKS,
-    render_buffer_ablation,
-    render_checkpoint_overhead,
-    render_dma_ablation,
-    render_fig7a,
-    render_fig7b,
-    render_fig7c,
-    render_fig8,
-    render_compression_ablation,
-    render_overflow_ablation,
-    render_table1,
-    render_vwarn_ablation,
-    render_table2,
-    run_buffer_ablation,
-    run_checkpoint_overhead,
-    run_compression_ablation,
-    run_dma_ablation,
-    run_fig7,
-    run_fig8,
-    run_overflow_ablation,
-    run_table2,
-    run_vwarn_ablation,
-)
+from repro.study import Profile, get_study, run_study, study_names
 
 
 def section(title):
@@ -42,44 +21,19 @@ def section(title):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fast", action="store_true",
-                        help="use the small profile (quick sanity run)")
+                        help="keep Table II on its small training profile "
+                             "(quick sanity run)")
     args = parser.parse_args()
-    profile = FAST if args.fast else FULL
 
     t0 = time.time()
-    section("Table I")
-    print(render_table1())
-
-    section("Table II")
-    print(render_table2(run_table2(profile)))
-    print(f"[table2 done at {time.time() - t0:.0f}s]")
-
-    section("Figure 7")
-    fig7 = {task: run_fig7(task) for task in TASKS}
-    print(render_fig7a(fig7))
-    print()
-    print(render_fig7b(fig7))
-    print()
-    print(render_fig7c(fig7))
-
-    section("Figure 8")
-    print(render_fig8(run_fig8()))
-
-    section("Checkpoint overhead (IV-A.5)")
-    print(render_checkpoint_overhead(run_checkpoint_overhead()))
-
-    section("Ablations")
-    print(render_overflow_ablation(run_overflow_ablation("mnist")))
-    print()
-    print(render_buffer_ablation(run_buffer_ablation()))
-    print()
-    print(render_dma_ablation(run_dma_ablation()))
-    print()
-    print(render_vwarn_ablation(run_vwarn_ablation()))
-    print()
-    print(render_compression_ablation(run_compression_ablation()))
+    for name in study_names():
+        study = get_study(name)
+        full = not args.fast and "full" in study.params
+        section(f"{study.artifact or name} ({name}): {study.title}")
+        print(run_study(name, profile=Profile(full=full)).render())
+        print(f"[{name} done at {time.time() - t0:.0f}s]")
     print(f"\n[total: {time.time() - t0:.0f}s]")
 
 

@@ -39,11 +39,9 @@ Locking conventions across the hardened caches:
   per-key event so distinct keys build concurrently.
 * **zero-cost single-threaded path** — a hit costs what it always did
   (one dict lookup); only the first-build path pays a lock.
-* **obs counters** — ``misses``/build counters are incremented under
-  the cache lock and are exact; ``hits`` counters on the lock-free hit
-  path may lose a tick under heavy thread races (two ``+= 1`` on the
-  same name interleaving), which telemetry tolerates; every counter the
-  serve acceptance tests assert exactly is incremented under a lock.
+* **obs counters** — exact under threads: :mod:`repro.obs.metrics`
+  serializes its own read-modify-writes under one registry lock, so a
+  ``hits`` counter bumped on a lock-free cache hit path loses no tick.
 """
 
 from __future__ import annotations

@@ -1,24 +1,22 @@
-"""Experiment drivers: one module per paper table/figure plus ablations.
+"""Experiment building blocks: shared helpers, paper constants, drivers.
 
-See DESIGN.md's experiment index for the mapping to paper artifacts."""
+Every paper artifact runs through its study in :mod:`repro.study.studies`
+(``repro run <study>``).  This package holds what those studies are built
+from: the task/runtime helpers, the numbers the paper prints, and the
+compute drivers of the direct studies (Table II, Figure 8, ablations
+A1-A5).  See DESIGN.md's experiment index for the mapping to paper
+artifacts."""
 
 from repro.experiments.ablations import (
-    render_compression_ablation,
-    render_vwarn_ablation,
-    run_compression_ablation,
     run_buffer_ablation,
-    run_vwarn_ablation,
+    run_compression_ablation,
     run_dma_ablation,
     run_overflow_ablation,
-    render_buffer_ablation,
-    render_dma_ablation,
-    render_overflow_ablation,
+    run_vwarn_ablation,
 )
 from repro.experiments.checkpoint_overhead import (
     PAPER_MAX_COST_MJ,
     PAPER_OVERHEAD,
-    run_checkpoint_overhead,
-    render_checkpoint_overhead,
     worst_case_checkpoint_mj,
 )
 from repro.experiments.common import (
@@ -38,37 +36,19 @@ from repro.experiments.fig7 import (
     PAPER_FIG7A_SPEEDUPS,
     PAPER_FIG7B_SPEEDUPS,
     PAPER_FIG7C_SAVINGS,
-    Fig7Result,
-    run_fig7,
-    run_fig7_all,
-    render_fig7a,
-    render_fig7b,
-    render_fig7c,
 )
-from repro.experiments.fig8 import BLOCK_SIZES, Fig8Point, run_fig8, render_fig8
+from repro.experiments.fig8 import BLOCK_SIZES, Fig8Point, run_fig8
 from repro.experiments.planner import DeploymentPlan, plan_deployment
 from repro.experiments.reporting import ascii_voltage_plot, format_table, ratio
-from repro.experiments.sweeps import (
-    SweepCell,
-    capacitor_sweep,
-    power_sweep,
-    render_sweep,
-    trace_sweep,
-)
-from repro.experiments.table1 import PAPER_TABLE1, render_table1, run_table1
-from repro.experiments.table2 import (
-    PAPER_ACCURACY,
-    Table2Row,
-    render_table2,
-    run_table2,
-)
+from repro.experiments.table1 import PAPER_TABLE1
+from repro.experiments.table2 import PAPER_ACCURACY, Table2Row, run_table2
 
 __all__ = [
     "BLOCK_SIZES",
+    "DeploymentPlan",
     "ExperimentProfile",
     "FAST",
     "FULL",
-    "Fig7Result",
     "Fig8Point",
     "PAPER_ACCURACY",
     "PAPER_FIG7A_SPEEDUPS",
@@ -78,46 +58,24 @@ __all__ = [
     "PAPER_OVERHEAD",
     "PAPER_TABLE1",
     "RUNTIME_ORDER",
-    "SweepCell",
-    "capacitor_sweep",
-    "plan_deployment",
-    "power_sweep",
-    "render_sweep",
-    "trace_sweep",
     "TASKS",
     "Table2Row",
-    "DeploymentPlan",
     "ascii_voltage_plot",
     "format_table",
     "make_dataset",
     "make_runtime",
     "paper_harvester",
+    "plan_deployment",
     "prepare_quantized",
     "ratio",
-    "render_buffer_ablation",
-    "render_checkpoint_overhead",
-    "render_dma_ablation",
-    "render_fig7a",
-    "render_fig7b",
-    "render_fig7c",
-    "render_fig8",
-    "render_overflow_ablation",
-    "render_table1",
-    "render_table2",
     "run_all_runtimes",
     "run_buffer_ablation",
-    "run_checkpoint_overhead",
+    "run_compression_ablation",
     "run_dma_ablation",
-    "run_fig7",
-    "run_fig7_all",
     "run_fig8",
     "run_inference",
     "run_overflow_ablation",
-    "run_vwarn_ablation",
-    "run_compression_ablation",
-    "render_compression_ablation",
-    "render_vwarn_ablation",
-    "run_table1",
     "run_table2",
+    "run_vwarn_ablation",
     "worst_case_checkpoint_mj",
 ]

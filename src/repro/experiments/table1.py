@@ -1,32 +1,12 @@
-"""Table I: BCM compression of a 512x512 FC layer across block sizes."""
+"""Table I: the paper's BCM compression numbers for a 512x512 FC layer.
 
-from __future__ import annotations
+The ``table1`` study in :mod:`repro.study.studies` computes the table
+from :func:`repro.bcm.compression_table`; the benchmark checks it
+against these rows.
+"""
 
-from typing import List
-
-from repro.bcm import CompressionRow, compression_table
-from repro.experiments.reporting import format_table
-
-
-def run_table1() -> List[CompressionRow]:
-    """Compute the paper's Table I rows (block sizes 16..256)."""
-    return compression_table(512, 512)
-
-
-def render_table1(rows=None) -> str:
-    rows = rows if rows is not None else run_table1()
-    return format_table(
-        ["Kernel Size (B)", "Block size", "Compressed kernel (B)", "Storage reduction"],
-        [
-            (r.kernel_bytes, r.block_size, r.compressed_bytes,
-             f"{100 * r.storage_reduction:.2f}%")
-            for r in rows
-        ],
-        title="Table I — BCM compression for 512x512 fully connected layer",
-    )
-
-
-#: The numbers printed in the paper, for verification.
+#: The numbers printed in the paper (block size -> compressed bytes,
+#: storage reduction), for verification.
 PAPER_TABLE1 = {
     16: (65536, 0.9375),
     32: (32768, 0.9687),

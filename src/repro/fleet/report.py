@@ -17,7 +17,7 @@ live report), and :meth:`FleetReport.render` is built on both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.fleet.scenario import Scenario
@@ -69,43 +69,6 @@ class ScenarioResult:
 
 
 @dataclass
-class RuntimeAggregate:
-    """Distribution summary of every scenario sharing one runtime."""
-
-    runtime: str
-    scenarios: int = 0
-    inferences: int = 0
-    completed: int = 0
-    throughput_hz: List[float] = field(default_factory=list)
-    energy_mj_per_inf: List[float] = field(default_factory=list)
-    reboots_per_inf: List[float] = field(default_factory=list)
-
-    @property
-    def dnf_rate(self) -> float:
-        """Fraction of attempted inferences that never finished."""
-        if self.inferences == 0:
-            return 0.0
-        return 1.0 - self.completed / self.inferences
-
-    def percentile(self, values: Sequence[float], q: float) -> float:
-        from repro.study.table import percentile
-
-        return percentile(values, q)
-
-    def row(self) -> Tuple:
-        return (
-            self.runtime,
-            f"{self.scenarios}",
-            f"{100 * self.dnf_rate:.1f}%",
-            f"{self.percentile(self.throughput_hz, 50):.2f}",
-            f"{self.percentile(self.throughput_hz, 10):.2f}",
-            f"{self.percentile(self.energy_mj_per_inf, 50):.2f}",
-            f"{self.percentile(self.energy_mj_per_inf, 90):.2f}",
-            f"{self.percentile(self.reboots_per_inf, 50):.1f}",
-        )
-
-
-@dataclass
 class FleetReport:
     """All results of one fleet run plus execution metadata.
 
@@ -137,25 +100,6 @@ class FleetReport:
         for r in self.results:
             groups.setdefault(r.scenario.runtime, []).append(r)
         return groups
-
-    def aggregate(self) -> Dict[str, RuntimeAggregate]:
-        """Per-runtime distribution summaries."""
-        out: Dict[str, RuntimeAggregate] = {}
-        for runtime, results in self.by_runtime().items():
-            agg = RuntimeAggregate(runtime=runtime)
-            for r in results:
-                s = r.stats
-                agg.scenarios += 1
-                agg.inferences += s.inferences
-                agg.completed += s.completed
-                agg.throughput_hz.append(s.throughput_hz)
-                if s.completed:
-                    agg.energy_mj_per_inf.append(
-                        s.total_energy_j * 1e3 / s.completed
-                    )
-                    agg.reboots_per_inf.append(s.total_reboots / s.completed)
-            out[runtime] = agg
-        return out
 
     @property
     def total_inferences(self) -> int:

@@ -23,6 +23,14 @@ Representation choices are driven by the deterministic-merge contract
 * gauges are per-process floats ("last set value"); cross-process merge
   *sums* them (right for sizes and totals, the only gauges recorded).
 
+Every read-modify-write of the registry runs under one module-level
+lock, taken only after the :data:`ENABLED` check: ``repro serve`` runs
+studies on threads against this one registry, and unlocked ``+=`` on a
+shared dict loses increments under thread switches.  The disabled path
+never touches the lock.  The lock is a
+:class:`~repro.concurrency.ForkSafeLock`, so a fleet worker forked while
+another thread records starts with it unlocked.
+
 Nothing here imports numpy or any simulation module, so importing the
 registry from a hot path costs nothing at module load.
 """
@@ -32,6 +40,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List
 
+from repro.concurrency import ForkSafeLock
 from repro.obs.snapshot import SNAPSHOT_SCHEMA
 
 #: Master switch.  Checked (module attribute load) before any work at
@@ -45,6 +54,8 @@ _GAUGES: Dict[str, float] = {}
 #: stringified power-of-two upper bound (ns) to an occurrence count.
 _DURATIONS: Dict[str, List] = {}
 _SEQ = 0
+#: Guards every read-modify-write of the three dicts and ``_SEQ``.
+_LOCK = ForkSafeLock()
 
 #: Bucket exponent clamp: 2**10 ns (~1 us) .. 2**40 ns (~18 min).
 _BUCKET_MIN_EXP = 10
@@ -70,24 +81,28 @@ def enabled() -> bool:
 def reset_metrics() -> None:
     """Drop all recorded values (the enabled flag is left as is)."""
     global _SEQ
-    _COUNTERS.clear()
-    _GAUGES.clear()
-    _DURATIONS.clear()
-    _SEQ = 0
+    with _LOCK:
+        _COUNTERS.clear()
+        _GAUGES.clear()
+        _DURATIONS.clear()
+        _SEQ = 0
 
 
 def count(name: str, n: int = 1) -> None:
     """Add ``n`` to counter ``name`` (no-op while disabled)."""
     if not ENABLED:
         return
-    _COUNTERS[name] = _COUNTERS.get(name, 0) + n
+    with _LOCK:
+        _COUNTERS[name] = _COUNTERS.get(name, 0) + n
 
 
 def gauge(name: str, value: float) -> None:
     """Set gauge ``name`` to ``value`` (last write wins in-process)."""
     if not ENABLED:
         return
-    _GAUGES[name] = float(value)
+    value = float(value)
+    with _LOCK:
+        _GAUGES[name] = value
 
 
 def _bucket(ns: int) -> str:
@@ -106,17 +121,18 @@ def observe_ns(name: str, ns: int) -> None:
     ns = int(ns)
     if ns < 0:
         ns = 0
-    h = _DURATIONS.get(name)
-    if h is None:
-        h = _DURATIONS[name] = [0, 0, ns, ns, {}]
-    h[0] += 1
-    h[1] += ns
-    if ns < h[2]:
-        h[2] = ns
-    if ns > h[3]:
-        h[3] = ns
     b = _bucket(ns)
-    h[4][b] = h[4].get(b, 0) + 1
+    with _LOCK:
+        h = _DURATIONS.get(name)
+        if h is None:
+            h = _DURATIONS[name] = [0, 0, ns, ns, {}]
+        h[0] += 1
+        h[1] += ns
+        if ns < h[2]:
+            h[2] = ns
+        if ns > h[3]:
+            h[3] = ns
+        h[4][b] = h[4].get(b, 0) + 1
 
 
 def snapshot() -> dict:
@@ -128,24 +144,25 @@ def snapshot() -> dict:
     latest (:class:`~repro.fleet.runner.FleetRunner` does exactly this).
     """
     global _SEQ
-    _SEQ += 1
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "pid": os.getpid(),
-        "seq": _SEQ,
-        "counters": dict(_COUNTERS),
-        "gauges": dict(_GAUGES),
-        "durations": {
-            name: {
-                "count": h[0],
-                "total_ns": h[1],
-                "min_ns": h[2],
-                "max_ns": h[3],
-                "buckets": dict(h[4]),
-            }
-            for name, h in _DURATIONS.items()
-        },
-    }
+    with _LOCK:
+        _SEQ += 1
+        return {
+            "schema": SNAPSHOT_SCHEMA,
+            "pid": os.getpid(),
+            "seq": _SEQ,
+            "counters": dict(_COUNTERS),
+            "gauges": dict(_GAUGES),
+            "durations": {
+                name: {
+                    "count": h[0],
+                    "total_ns": h[1],
+                    "min_ns": h[2],
+                    "max_ns": h[3],
+                    "buckets": dict(h[4]),
+                }
+                for name, h in _DURATIONS.items()
+            },
+        }
 
 
 def absorb(snap: dict) -> None:
@@ -157,19 +174,21 @@ def absorb(snap: dict) -> None:
     """
     if not ENABLED:
         return
-    for key, val in snap.get("counters", {}).items():
-        _COUNTERS[key] = _COUNTERS.get(key, 0) + int(val)
-    for key, val in snap.get("gauges", {}).items():
-        _GAUGES[key] = _GAUGES.get(key, 0.0) + float(val)
-    for name, d in snap.get("durations", {}).items():
-        h = _DURATIONS.get(name)
-        if h is None:
-            h = _DURATIONS[name] = [0, 0, int(d["min_ns"]), int(d["max_ns"]), {}]
-        h[0] += int(d["count"])
-        h[1] += int(d["total_ns"])
-        if int(d["min_ns"]) < h[2]:
-            h[2] = int(d["min_ns"])
-        if int(d["max_ns"]) > h[3]:
-            h[3] = int(d["max_ns"])
-        for b, n in d.get("buckets", {}).items():
-            h[4][b] = h[4].get(b, 0) + int(n)
+    with _LOCK:
+        for key, val in snap.get("counters", {}).items():
+            _COUNTERS[key] = _COUNTERS.get(key, 0) + int(val)
+        for key, val in snap.get("gauges", {}).items():
+            _GAUGES[key] = _GAUGES.get(key, 0.0) + float(val)
+        for name, d in snap.get("durations", {}).items():
+            h = _DURATIONS.get(name)
+            if h is None:
+                h = _DURATIONS[name] = [0, 0, int(d["min_ns"]),
+                                        int(d["max_ns"]), {}]
+            h[0] += int(d["count"])
+            h[1] += int(d["total_ns"])
+            if int(d["min_ns"]) < h[2]:
+                h[2] = int(d["min_ns"])
+            if int(d["max_ns"]) > h[3]:
+                h[3] = int(d["max_ns"])
+            for b, n in d.get("buckets", {}).items():
+                h[4][b] = h[4].get(b, 0) + int(n)

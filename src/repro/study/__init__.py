@@ -4,8 +4,8 @@ This package is the single front door to every experiment in the repo:
 
 * :class:`ResultTable` — a typed, columnar result container with a
   declared schema, filtering / group-by / percentile aggregation, and
-  lossless (bit-identical) JSON and NPZ round-trips.  It replaces the
-  ad-hoc dicts the imperative drivers return and is the payload
+  lossless (bit-identical) JSON and NPZ round-trips.  It is the
+  payload every study returns and the one
   :class:`~repro.fleet.report.FleetReport` is built on.
 * :class:`Study` — a frozen, registered experiment spec: a name, either
   ``run(ctx)`` or ``scenarios(ctx)``+``collect(...)``, and
@@ -23,8 +23,7 @@ This package is the single front door to every experiment in the repo:
       payload = run.table.to_json()   # lossless; from_json() restores it
 
 ``python -m repro run <study>`` and ``python -m repro list`` are the CLI
-faces of the same registry; the classic subcommands (``table1``,
-``fig7``, ...) are thin aliases over it.
+faces of the same registry, and the only way the CLI runs a study.
 """
 
 from repro.study.core import (

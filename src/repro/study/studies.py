@@ -5,10 +5,13 @@ decides *how* (engine, workers).  Scenario-shaped studies (Figure 7, the
 checkpoint-overhead measurement, the design-space sweeps, the fleet
 study) expand into :class:`~repro.fleet.scenario.Scenario` lists and run
 through :class:`~repro.fleet.runner.FleetRunner` — continuous-power cells
-use the ``"mains"`` trace kind (no harvester).  Direct studies (Tables
-I/II, Figure 8, the ablations) wrap the imperative drivers in
-:mod:`repro.experiments` and type their outputs into
-:class:`~repro.study.table.ResultTable`\\ s.
+use the ``"mains"`` trace kind (no harvester).  Direct studies compute
+their table in ``run``: Table I from :func:`repro.bcm.compression_table`;
+Table II, Figure 8 and the ablations from the compute drivers in
+:mod:`repro.experiments`, whose rows they type into
+:class:`~repro.study.table.ResultTable`\\ s.  Each study is the only
+implementation of its artifact: ``repro run <study>``, the service and
+the benchmarks all go through it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """CLI smoke tests for the study-based command line: `repro list`,
-`repro run`, the alias subcommands, --version, and error-exit behavior."""
+`repro run` (the one way to run a study), --version, and error-exit
+behavior."""
 
 import json
 
@@ -89,25 +90,20 @@ class TestRunCommand:
         assert err.startswith("repro: error:") and "Traceback" not in err
 
 
-class TestAliases:
-    def test_alias_parsers_accept_classic_argv(self):
+class TestRemovedAliases:
+    def test_classic_alias_argv_is_rejected(self, capsys):
+        """The per-artifact alias subcommands are gone: each study runs
+        only as ``repro run <study>``, so an alias is an argparse usage
+        error (exit 2), not a second code path with its own defaults."""
         parser = build_parser()
-        for argv in (["table1"], ["table2", "--fast"], ["fig7", "--task",
-                     "har"], ["fig8"], ["overhead"], ["ablations"],
-                     ["sweep", "--axis", "capacitor"], ["all", "--fast"]):
-            assert parser.parse_args(argv).command == argv[0]
-
-    def test_sweep_alias_runs_study(self, capsys):
-        assert main(["sweep", "--axis", "trace"]) == 0
-        out = capsys.readouterr().out
-        assert "square-wave" in out and "bursty-rf" in out
-
-    def test_fleet_alias_keeps_report_and_cache_summary(self, capsys):
-        assert main(["fleet", "--serial", "--samples", "1", "--engine",
-                     "fast", "--no-scenarios"]) == 0
-        out = capsys.readouterr().out
-        assert "Fleet report:" in out
-        assert "model cache:" in out
+        for argv in (["table1"], ["table2", "--fast"], ["fig7"], ["fig8"],
+                     ["overhead"], ["ablations"],
+                     ["sweep", "--axis", "capacitor"], ["fleet"],
+                     ["all", "--fast"]):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestVersionAndErrors:

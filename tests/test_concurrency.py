@@ -50,7 +50,8 @@ def _hammer(fn, threads=16):
     for t in pool:
         t.start()
     for t in pool:
-        t.join()
+        t.join(timeout=120)
+        assert not t.is_alive(), "hammer thread did not finish"
     assert not errors, errors
     return results
 
@@ -305,3 +306,61 @@ class TestStoreRaces:
     def test_shard_store_rejects_bad_shard_rows(self, tmp_path):
         with pytest.raises(ConfigurationError):
             ShardStore(tmp_path / "x", self.SCHEMA, shard_rows=0)
+
+
+class TestObsRegistryRaces:
+    """The metrics registry is process-global and ``repro serve`` records
+    into it from job threads: totals must be exact, not merely close."""
+
+    THREADS = 4
+    N = 10000
+
+    @pytest.fixture
+    def registry(self):
+        import sys
+
+        from repro import obs
+
+        # Switch threads as often as the interpreter allows, so an
+        # unlocked read-modify-write would lose increments every run.
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        obs.reset()
+        obs.enable()
+        try:
+            yield obs
+        finally:
+            sys.setswitchinterval(old)
+            obs.disable()
+            obs.reset()
+
+    def test_counts_and_durations_exact_under_threads(self, registry):
+        from repro.obs import metrics
+
+        worker = {"counters": {"absorbed": 1},
+                  "durations": {"absorbed.ns": {
+                      "count": 1, "total_ns": 7, "min_ns": 7, "max_ns": 7,
+                      "buckets": {"1024": 1}}}}
+
+        def work(i):
+            for _ in range(self.N):
+                metrics.count("x")
+                metrics.observe_ns(f"d{i % 2}", 5)
+                metrics.gauge("g", i)
+            for _ in range(self.N // 10):
+                metrics.absorb(worker)
+                metrics.snapshot()  # reader racing the writers
+
+        _hammer(work, threads=self.THREADS)
+        snap = metrics.snapshot()
+        total = self.THREADS * self.N
+        assert snap["counters"]["x"] == total
+        durations = snap["durations"]
+        assert durations["d0"]["count"] + durations["d1"]["count"] == total
+        assert durations["d0"]["total_ns"] + durations["d1"]["total_ns"] \
+            == 5 * total
+        absorbed = self.THREADS * (self.N // 10)
+        assert snap["counters"]["absorbed"] == absorbed
+        assert durations["absorbed.ns"]["count"] == absorbed
+        assert durations["absorbed.ns"]["buckets"] == {"1024": absorbed}
+        assert snap["gauges"]["g"] in range(self.THREADS)

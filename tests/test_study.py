@@ -190,16 +190,14 @@ class TestStudyRegistry:
             assert expected in names
 
     def test_cli_artifact_subcommands_resolve_to_studies(self):
-        """Acceptance: every classic artifact subcommand maps onto the
-        registry (ablations and sweep fan out to per-axis studies)."""
-        from repro.cli import _ABLATION_STUDIES, _SWEEP_STUDIES
+        """Acceptance: every registered study is reachable as
+        ``repro run <study>``, the CLI's one way to run an artifact."""
+        from repro.cli import build_parser
 
-        for name in ("table1", "table2", "fig7", "fig8", "overhead", "fleet"):
-            assert get_study(name).name == name
-        for name in _ABLATION_STUDIES:
-            assert get_study(name).name == name
-        for axis, study in _SWEEP_STUDIES.items():
-            assert get_study(study).name == study
+        parser = build_parser()
+        for name in study_names():
+            args = parser.parse_args(["run", name])
+            assert get_study(args.study).name == name
 
     def test_unknown_study(self):
         with pytest.raises(ConfigurationError, match="unknown study"):
@@ -321,22 +319,25 @@ class TestFleetReportTables:
         assert table.meta["workers"] == "2"
 
     def test_runtime_table_matches_aggregate(self):
-        """The table-based aggregation must agree with the legacy
-        RuntimeAggregate path bit-for-bit."""
+        """The table-based per-runtime aggregation against the aggregate
+        worked out by hand from the synthetic report's sessions."""
         report = _synthetic_fleet_report()
-        agg = report.aggregate()
         derived = {r["runtime"]: r
                    for r in FleetReport.runtime_table(report.scenario_table())}
-        for runtime, legacy in agg.items():
-            got = derived[runtime]
-            assert got["scenarios"] == legacy.scenarios
-            assert got["dnf_rate"] == legacy.dnf_rate
-            assert got["throughput_hz_p50"] == \
-                legacy.percentile(legacy.throughput_hz, 50)
-            assert got["mj_per_inf_p50"] == \
-                legacy.percentile(legacy.energy_mj_per_inf, 50)
-            assert got["reboots_per_inf_p50"] == \
-                legacy.percentile(legacy.reboots_per_inf, 50)
+        assert list(derived) == ["ACE+FLEX", "SONIC"]
+        flex, sonic = derived["ACE+FLEX"], derived["SONIC"]
+        assert flex["scenarios"] == 1 and sonic["scenarios"] == 1
+        assert flex["dnf_rate"] == 0.0
+        assert sonic["dnf_rate"] == 0.5
+        # two 1 s inferences in 2 s; one finished SONIC inference in 6 s
+        assert flex["throughput_hz_p50"] == 1.0
+        assert sonic["throughput_hz_p50"] == 1.0 / 6.0
+        # energy over completed inferences: 2 mJ / 2; 10 mJ / 1
+        assert flex["mj_per_inf_p50"] == 1.0
+        assert sonic["mj_per_inf_p50"] == 10.0
+        # reboots over completed inferences: 2 / 2; 15 / 1
+        assert flex["reboots_per_inf_p50"] == 1.0
+        assert sonic["reboots_per_inf_p50"] == 15.0
 
     def test_runtime_table_survives_serialization(self):
         """Aggregating a table loaded from JSON equals aggregating live."""
@@ -392,20 +393,30 @@ class TestScenarioStudies:
         assert fast.cache.misses == 1  # one model, shared across 10 cells
 
     def test_fig7_table_matches_legacy_driver(self):
-        """The study's numbers are the legacy driver's numbers: same
-        machine construction, same seeds, same floats."""
-        from repro.experiments import run_fig7
+        """The study's numbers are the imperative path's numbers: the same
+        model, input and machines, run through ``run_inference`` directly
+        (tethered, then on the paper's harvester), give the same floats."""
+        from repro.experiments import (
+            make_dataset,
+            paper_harvester,
+            prepare_quantized,
+            run_inference,
+        )
 
-        legacy = run_fig7("mnist", seed=0)
+        qmodel = prepare_quantized("mnist", seed=0)
+        x = make_dataset("mnist", 16, seed=0).x[0]
         table = run_study("fig7", workers=1,
                           profile=Profile(tasks=("mnist",))).table
+        assert len(table) == 10
         for row in table:
-            pool = (legacy.continuous if row["regime"] == "continuous"
-                    else legacy.intermittent)
-            r = pool[row["runtime"]]
+            harvester = (None if row["regime"] == "continuous"
+                         else paper_harvester())
+            r = run_inference(row["runtime"], qmodel, x, harvester=harvester)
             assert row["completed"] == r.completed
             assert row["wall_ms"] == r.wall_time_s * 1e3
+            assert row["active_ms"] == r.active_time_s * 1e3
             assert row["energy_mj"] == r.energy_j * 1e3
+            assert row["checkpoint_mj"] == r.checkpoint_energy_j * 1e3
             assert row["reboots"] == r.reboots
 
     def test_fig7_render_marks_dnf(self):
